@@ -25,20 +25,34 @@ use crate::config::Engine;
 /// A worst-case-optimal join evaluator for (sub)queries.
 #[derive(Debug, Clone)]
 pub struct GenericJoin {
-    /// The variable order used for the backtracking search.  Defaults to
-    /// ascending variable index; callers may override it.
+    /// The base variable order of the backtracking search: ascending
+    /// variable index for [`GenericJoin::new`].  Every join refines it into
+    /// its *connected* order over the inputs' schemas (see
+    /// [`GenericJoin::new`]).
     pub variable_order: Vec<Var>,
 }
 
 impl GenericJoin {
-    /// Creates an evaluator with the default (ascending-index) variable
-    /// order over the given variables.
+    /// Creates an evaluator with the default variable order over the given
+    /// variables: the *connected refinement* of ascending index order.
+    /// Each join binds next the first remaining variable (in ascending
+    /// order) that shares an input with the variables already bound, and
+    /// the first remaining variable only when none does.  Binding a
+    /// variable that shares no input with the bound ones would enumerate a
+    /// Cartesian product of candidates before any atom prunes it — for a
+    /// bag `{X,Z,W}` over `T(Z,W), U(W,X)` ascending order binds X then Z,
+    /// i.e. `|π_X U|·|π_Z T|` pairs, where the connected order `X,W,Z`
+    /// enumerates only the join.  The order depends on the input schemas
+    /// alone, never on the data or the engine, and equals ascending order
+    /// whenever ascending order is already connected.
     #[must_use]
     pub fn new(vars: VarSet) -> Self {
         GenericJoin { variable_order: vars.to_vec() }
     }
 
-    /// Creates an evaluator with an explicit variable order.
+    /// Creates an evaluator with an explicit base variable order; each join
+    /// binds variables in its connected refinement, exactly as for
+    /// [`GenericJoin::new`]'s ascending order.
     #[must_use]
     pub fn with_order(variable_order: Vec<Var>) -> Self {
         GenericJoin { variable_order }
@@ -86,8 +100,7 @@ impl GenericJoin {
         // Keep only the order variables that actually occur — but the order
         // must mention every occurring variable.
         let occurring: VarSet = inputs.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set()));
-        let order: Vec<Var> =
-            self.variable_order.iter().copied().filter(|v| occurring.contains(*v)).collect();
+        let order = self.order_for(inputs, occurring);
         let covered: VarSet = order.iter().copied().collect();
         assert!(
             occurring.is_subset_of(covered),
@@ -169,6 +182,14 @@ impl GenericJoin {
         VarRelation::new(output_vars, out.deduped())
     }
 
+    /// The order one join over `inputs` binds variables in: the order's
+    /// variables that occur in the inputs, refined into the connected order.
+    fn order_for(&self, inputs: &[VarRelation], occurring: VarSet) -> Vec<Var> {
+        let order: Vec<Var> =
+            self.variable_order.iter().copied().filter(|v| occurring.contains(*v)).collect();
+        connected_order(order, inputs)
+    }
+
     /// Evaluates a full or projected conjunctive query with a worst-case
     /// optimal join over all its atoms, returning the answer over the free
     /// variables.  Uses the engine selected by `PANDA_THREADS`
@@ -189,6 +210,29 @@ impl GenericJoin {
         let join = GenericJoin::new(query.all_vars());
         join.join_with_engine(&inputs, &query.free_vars().to_vec(), engine)
     }
+}
+
+/// The connected refinement of `base` (see [`GenericJoin::new`]): the
+/// next variable is the first remaining one sharing an input with the
+/// variables already placed, or the first remaining one if none does.
+fn connected_order(mut remaining: Vec<Var>, inputs: &[VarRelation]) -> Vec<Var> {
+    let mut placed = VarSet::EMPTY;
+    let mut order = Vec::with_capacity(remaining.len());
+    while !remaining.is_empty() {
+        let next = remaining
+            .iter()
+            .position(|&v| {
+                inputs.iter().any(|r| {
+                    let schema = r.var_set();
+                    schema.contains(v) && !schema.is_disjoint_from(placed)
+                })
+            })
+            .unwrap_or(0);
+        let v = remaining.remove(next);
+        placed = placed.with(v);
+        order.push(v);
+    }
+    order
 }
 
 /// Per level, per atom: an index from the atom's already-bound columns to
@@ -372,6 +416,47 @@ mod tests {
             default.canonical_rows_ordered(&[Var(0), Var(1), Var(2)]),
             reversed.canonical_rows_ordered(&[Var(0), Var(1), Var(2)])
         );
+    }
+
+    /// The bag `{X,Z,W}` of the projected 4-cycle over `T(Z,W), U(W,X)`
+    /// (X = 0, Z = 2, W = 3).
+    fn bag_inputs() -> Vec<VarRelation> {
+        let t = VarRelation::new(vec![Var(2), Var(3)], Relation::from_rows(2, vec![[1, 2]]));
+        let u = VarRelation::new(vec![Var(3), Var(0)], Relation::from_rows(2, vec![[2, 3]]));
+        vec![t, u]
+    }
+
+    fn occurring(inputs: &[VarRelation]) -> VarSet {
+        inputs.iter().fold(VarSet::EMPTY, |acc, r| acc.union(r.var_set()))
+    }
+
+    #[test]
+    fn default_order_binds_a_variable_connected_to_the_bound_ones() {
+        let inputs = bag_inputs();
+        let bag: VarSet = [Var(0), Var(2), Var(3)].into_iter().collect();
+        let join = GenericJoin::new(bag);
+        assert_eq!(join.order_for(&inputs, occurring(&inputs)), vec![Var(0), Var(3), Var(2)]);
+        let out = join.join(&inputs, &[Var(0), Var(2), Var(3)]);
+        assert_eq!(out.rel.canonical_rows(), vec![vec![3, 1, 2]]);
+        // An explicit order is the base the refinement starts from.
+        let join = GenericJoin::with_order(vec![Var(2), Var(0), Var(3)]);
+        assert_eq!(join.order_for(&inputs, occurring(&inputs)), vec![Var(2), Var(3), Var(0)]);
+    }
+
+    #[test]
+    fn an_already_connected_ascending_order_is_unchanged() {
+        let q = parse_query("Q(X,Y,Z,W) :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)").unwrap();
+        let mut db = triangle_db(&[(1, 2)]);
+        db.insert("U", Relation::from_rows(2, vec![[2, 1]]));
+        let inputs = VarRelation::bind_all(&q, &db);
+        let join = GenericJoin::new(q.all_vars());
+        assert_eq!(join.order_for(&inputs, q.all_vars()), q.all_vars().to_vec());
+        // Disconnected inputs keep ascending order too: nothing connects.
+        let r = VarRelation::new(vec![Var(0)], Relation::from_rows(1, vec![[1]]));
+        let s = VarRelation::new(vec![Var(1)], Relation::from_rows(1, vec![[2]]));
+        let inputs = [r, s];
+        let join = GenericJoin::new(occurring(&inputs));
+        assert_eq!(join.order_for(&inputs, occurring(&inputs)), vec![Var(0), Var(1)]);
     }
 
     #[test]

@@ -403,13 +403,7 @@ impl Panda {
     }
 
     /// Builds the full [`PlanReport`] from a completed selection.
-    fn report_from(
-        &self,
-        selection: Selection,
-        stats: &StatisticsSet,
-        cache_events: Vec<ReasonCode>,
-    ) -> PlanReport {
-        let branch_bounds = selector::branch_bounds_for(&selection, &self.query, stats);
+    fn report_from(selection: Selection, cache_events: Vec<ReasonCode>) -> PlanReport {
         let partitions =
             selection.evaluator.as_ref().map(|e| e.partitions.clone()).unwrap_or_default();
         PlanReport {
@@ -423,7 +417,7 @@ impl Panda {
             tds: selection.tds,
             partitions,
             branch_count: selection.branch_count,
-            branch_bounds,
+            branch_bounds: selection.branch_bounds,
             lp_pivots_used: selection.lp_pivots_used,
             materializations: selection.materializations,
             cache_events,
@@ -451,8 +445,10 @@ impl Panda {
         requested: EvaluationStrategy,
         want_widths: bool,
     ) -> Result<(Selection, Vec<ReasonCode>), BoundError> {
-        if !crate::config::plan_cache_enabled() {
-            let selection = selector::select(
+        // Report-path selections carry their branch bounds into the cache
+        // (see `Selection::branch_bounds`).
+        let plan = || -> Result<Selection, BoundError> {
+            let mut selection = selector::select(
                 &self.query,
                 stats,
                 db,
@@ -462,7 +458,14 @@ impl Panda {
                 want_widths,
                 self.cancel.as_ref(),
             )?;
-            return Ok((selection, vec![ReasonCode::PlanCacheBypass]));
+            if want_widths {
+                selection.branch_bounds =
+                    selector::branch_bounds_for(&selection, &self.query, stats);
+            }
+            Ok(selection)
+        };
+        if !crate::config::plan_cache_enabled() {
+            return Ok((plan()?, vec![ReasonCode::PlanCacheBypass]));
         }
         let canon = fingerprint::canonicalize_query(&self.query);
         let stats_enc = fingerprint::canonical_statistics_encoding(stats, &canon.renaming);
@@ -485,16 +488,7 @@ impl Panda {
         if let Some(selection) = plan_cache::lookup(&key, fallback.as_ref(), &canon.renaming) {
             return Ok((selection, vec![ReasonCode::PlanCacheHit]));
         }
-        let selection = selector::select(
-            &self.query,
-            stats,
-            db,
-            self.budgets,
-            self.engine.threads(),
-            requested,
-            want_widths,
-            self.cancel.as_ref(),
-        )?;
+        let selection = plan()?;
         // Only completed selections reach the cache: a cancelled (or
         // otherwise failed) plan returned above leaves the cache untouched.
         let evicted = plan_cache::insert(key, canon.renaming, &selection);
@@ -535,7 +529,7 @@ impl Panda {
         let stats = self.stats_for(db);
         let (selection, cache_events) =
             self.select_cached(&stats, db, strategy, /*want_widths=*/ true)?;
-        Ok(self.report_from(selection, &stats, cache_events))
+        Ok(Self::report_from(selection, cache_events))
     }
 
     /// [`Panda::plan_report`] rendered for humans: returns the [`Explain`]

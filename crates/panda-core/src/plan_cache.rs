@@ -200,8 +200,9 @@ fn compose(cached: &[u32], current: &[u32]) -> Vec<u32> {
 }
 
 /// Renames a cached selection's execution artifacts into the current
-/// query's variables.  Width reports are dropped (they are only consumed
-/// by the report path, whose entries never take this branch).
+/// query's variables.  Width reports and branch bounds are dropped (they
+/// are only consumed by the report path, whose entries never take this
+/// branch).
 fn rename_selection(selection: &Selection, sigma: &[u32]) -> Selection {
     let set = |s: VarSet| rename_set(s, sigma);
     let td =
@@ -243,6 +244,7 @@ fn rename_selection(selection: &Selection, sigma: &[u32]) -> Selection {
                 num_scans: m.num_scans,
             })
             .collect(),
+        branch_bounds: Vec::new(),
     }
 }
 

@@ -471,7 +471,10 @@ impl PandaEvaluator {
     /// will actually execute it* — the (exact, for two-atom bags) size of
     /// the join of the atoms assigned to the bag — because an estimate that
     /// assumes a cheaper construction the executor does not use would pick
-    /// plans it cannot deliver.
+    /// plans it cannot deliver.  Execution matches this cost because each
+    /// bag's [`GenericJoin`] binds its variables in connected order (see
+    /// [`GenericJoin::new`]): it never enumerates a Cartesian product of
+    /// candidates that the join size does not count.
     #[must_use]
     pub fn choose_td_for(&self, query: &ConjunctiveQuery, db: &Database) -> TreeDecomposition {
         let mut best: Option<(f64, &TreeDecomposition)> = None;

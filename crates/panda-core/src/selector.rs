@@ -229,6 +229,11 @@ pub(crate) struct Selection {
     /// several branches (plan-derived and deterministic; empty for
     /// single-branch strategies).
     pub materializations: Vec<MaterializedSubplan>,
+    /// The per-branch width bounds a report renders, computed once on the
+    /// report path (`want_widths`) so a cached selection serves warm
+    /// reports without re-solving bag certificates; empty on the
+    /// evaluation path, which never reads them.
+    pub branch_bounds: Vec<BranchBound>,
 }
 
 impl Selection {
@@ -251,6 +256,7 @@ impl Selection {
             branch_count: 1,
             lp_pivots_used: None,
             materializations: Vec::new(),
+            branch_bounds: Vec::new(),
         }
     }
 

@@ -204,6 +204,10 @@ fn worker_loop(
 
 /// Serves one accepted connection to completion (QUIT or EOF).
 pub fn serve_connection(stream: TcpStream) -> io::Result<()> {
+    // A reply larger than the writer's buffer leaves in several writes;
+    // with Nagle's algorithm on, the last one waits for the client's
+    // delayed ACK (tens of milliseconds) before it is sent.
+    stream.set_nodelay(true)?;
     let writer = Arc::new(Mutex::new(BufWriter::new(stream.try_clone()?)));
     let shared = Arc::new(Shared {
         state: Mutex::new(ConnState::default()),
@@ -276,5 +280,29 @@ pub fn serve_stdio() -> io::Result<()> {
         if reply.quit {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+
+    #[test]
+    fn served_streams_have_nodelay_set() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "sockets start with Nagle's algorithm on");
+        // A clone shares the socket, so it observes the option the
+        // connection sets.
+        let observer = accepted.try_clone().unwrap();
+        let server = thread::spawn(move || serve_connection(accepted));
+        client.write_all(b"PING\nQUIT\n").unwrap();
+        let mut transcript = String::new();
+        client.read_to_string(&mut transcript).unwrap();
+        server.join().unwrap().unwrap();
+        assert_eq!(transcript, "OK pong\nOK bye\n");
+        assert!(observer.nodelay().unwrap());
     }
 }

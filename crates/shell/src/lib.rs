@@ -63,8 +63,14 @@ impl ShellBackend {
     }
 
     /// Connects to a `panda-server` at `addr` (e.g. `127.0.0.1:4860`).
+    ///
+    /// Requests are buffered and flushed only when a reply is expected, so
+    /// a `LOAD` block leaves in as few writes as its size allows;
+    /// `TCP_NODELAY` sends each flush at once instead of holding its tail
+    /// for the server's delayed ACK.
     pub fn connect(addr: &str) -> io::Result<ShellBackend> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         Ok(ShellBackend::Connected(Connection {
             reader,
@@ -119,10 +125,10 @@ impl Connection {
         let expects = self.expects_response(line);
         self.writer.write_all(line.as_bytes())?;
         self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
         if !expects {
             return Ok((Vec::new(), false));
         }
+        self.writer.flush()?;
         let mut header = String::new();
         if self.reader.read_line(&mut header)? == 0 {
             return Err(io::Error::new(
@@ -385,6 +391,34 @@ mod tests {
         );
         let transcript = run_embedded("\\frobnicate\n");
         assert!(transcript.starts_with("ERR unknown_command"), "{transcript}");
+    }
+
+    #[test]
+    fn connected_transcripts_of_large_requests_and_replies_match_embedded() {
+        use std::fmt::Write as _;
+        // A LOAD block and a reply both larger than the 8 KiB write
+        // buffers on either end, so each crosses the wire in several writes.
+        let mut script = String::from("LOAD R 2\n");
+        for i in 0..1500 {
+            writeln!(script, "{i} {}", i * 7 % 1000).unwrap();
+        }
+        script.push_str("END\nQ(A,B) :- R(A,B)\nQUIT\n");
+        let embedded = run_embedded(&script);
+        assert!(embedded.len() > 8 * 1024, "the reply must exceed 8 KiB");
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // panda-lint: allow(D2) -- the server end of a real TCP connection
+        // needs its own thread; it serves this one connection and is joined
+        // before the transcripts are compared.
+        let server = std::thread::spawn(move || {
+            panda_server::serve(&listener, panda_server::ServeOptions { once: true })
+        });
+        let mut shell = Shell::new(ShellBackend::connect(&addr).unwrap());
+        let mut out = Vec::new();
+        assert!(shell.run_script(&script, &mut out).unwrap());
+        server.join().unwrap().unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), embedded);
     }
 
     #[test]

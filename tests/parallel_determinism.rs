@@ -15,7 +15,11 @@
 //! * the *E1–E15 experiment workloads* (Figure 2, the fhtw-hard double
 //!   star of E7/E8, the Erdős–Rényi and Zipf instances of E9, the path
 //!   instance of E13) at reduced sizes, through every evaluation strategy
-//!   plus DDR models and the width computations the tables report.
+//!   plus DDR models and the width computations the tables report, and
+//! * a proptest corpus of static plans on *every* tree decomposition of
+//!   the projected 4-cycle and the projected 3-path, whose bags bind
+//!   variables in connected order: over random and Zipf-skewed graphs,
+//!   each must equal the whole-body generic join as canonical rows.
 //!
 //! The CI matrix additionally re-runs the whole workspace test suite under
 //! `PANDA_THREADS ∈ {1, 4}`, which routes every default-constructed
@@ -276,7 +280,65 @@ fn explain_output_is_engine_independent() {
     }
 }
 
+/// The projected 4-cycle and the projected 3-path.
+fn bag_order_queries() -> [ConjunctiveQuery; 2] {
+    [
+        workloads::four_cycle_projected(),
+        parse_query("P(A,D) :- R(A,B), S(B,C), T(C,D)").expect("valid query"),
+    ]
+}
+
+/// A static plan on every decomposition of every bag-order query equals
+/// the sequential whole-body generic join on `db`, as canonical rows,
+/// under both layouts and every engine.
+fn assert_every_td_matches_generic_join(db: &Database) {
+    let columnar = columnar_copy(db);
+    for (layout, ldb) in [("row-major", db), ("columnar", &columnar)] {
+        for query in bag_order_queries() {
+            let free = query.free_vars().to_vec();
+            let reference = GenericJoin::evaluate_with_engine(&query, ldb, Engine::Sequential)
+                .canonical_rows_ordered(&free);
+            let tds = TreeDecomposition::enumerate(&query);
+            assert!(tds.len() >= 2, "{query} has several decompositions");
+            for td in tds {
+                for engine in
+                    std::iter::once(Engine::Sequential).chain(engines().into_iter().map(|(_, e)| e))
+                {
+                    let out = StaticTdPlan::new(td.clone())
+                        .evaluate_with_engine(&query, ldb, engine)
+                        .canonical_rows_ordered(&free);
+                    assert_eq!(out, reference, "{query} on {td:?} under {layout}/{engine:?}");
+                }
+            }
+        }
+    }
+}
+
 proptest! {
+    // Static plans, whose bags bind in connected order, on random graphs.
+    #[test]
+    fn prop_static_plans_on_random_graphs_match_generic_join(
+        n in 2u64..24,
+        edges in 1usize..120,
+        seed in 0u64..1_000,
+    ) {
+        assert_every_td_matches_generic_join(
+            &workloads::erdos_renyi_db(&["R", "S", "T", "U"], n, edges, seed),
+        );
+    }
+
+    // … and on Zipf-skewed graphs.
+    #[test]
+    fn prop_static_plans_on_zipf_graphs_match_generic_join(
+        n in 2u64..40,
+        edges in 1usize..160,
+        seed in 0u64..1_000,
+    ) {
+        assert_every_td_matches_generic_join(
+            &workloads::zipf_graph_db(&["R", "S", "T", "U"], n, edges, 1.1, seed),
+        );
+    }
+
     // The differential operator corpus, driven through the parallel
     // engine: random binary joins via `par_join` shards stay bit-identical
     // to the sequential operator.
