@@ -1,10 +1,12 @@
 //! E2 — benchmarks the polymatroid-bound LP (Theorem 4.1) for the paper's
 //! full 4-cycle query under the statistics S_full of Eq. (16), plus the
-//! 5-variable configuration (the full 5-cycle bound over Γ₅).
+//! 5-variable configuration (the full 5-cycle bound over Γ₅), and the
+//! exact `Rat` operations every LP pivot is made of.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use panda_bench::{lp_bench_config, lp_bench_config_5var};
 use panda_entropy::polymatroid_bound;
+use panda_rational::Rat;
 use panda_workloads::{
     five_cycle_projected, four_cycle_full, s_full_statistics, s_pentagon_statistics,
 };
@@ -35,6 +37,41 @@ fn bench_bound_lp_five(c: &mut Criterion) {
     group.finish();
 }
 
+/// `+`, `*` and `cmp` on the two operand shapes the LPs are made of:
+/// `exact_log` fallbacks (numerators over 10⁶) and integers.  One
+/// iteration applies the operation to the 255 adjacent pairs of 256
+/// operands.
+fn bench_rat_ops(c: &mut Criterion) {
+    let den_1e6: Vec<Rat> =
+        (1..=256i128).map(|i| Rat::new(i * 7_919_113 % 30_000_000, 1_000_000)).collect();
+    let integer: Vec<Rat> = (1..=256i128).map(|i| Rat::from_int(i * 7_919 % 1_000 - 500)).collect();
+    let mut group = c.benchmark_group("rat_ops");
+    for (shape, values) in [("den_1e6", &den_1e6), ("integer", &integer)] {
+        group.bench_with_input(BenchmarkId::new("add", shape), values, |b, values| {
+            b.iter(|| {
+                for pair in values.windows(2) {
+                    black_box(black_box(pair[0]) + black_box(pair[1]));
+                }
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("mul", shape), values, |b, values| {
+            b.iter(|| {
+                for pair in values.windows(2) {
+                    black_box(black_box(pair[0]) * black_box(pair[1]));
+                }
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("cmp", shape), values, |b, values| {
+            b.iter(|| {
+                for pair in values.windows(2) {
+                    black_box(black_box(pair[0]).cmp(&black_box(pair[1])));
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 fn config() -> Criterion {
     lp_bench_config()
 }
@@ -43,6 +80,6 @@ fn config5() -> Criterion {
     lp_bench_config_5var()
 }
 
-criterion_group! { name = benches; config = config(); targets = bench_bound_lp }
+criterion_group! { name = benches; config = config(); targets = bench_bound_lp, bench_rat_ops }
 criterion_group! { name = benches5; config = config5(); targets = bench_bound_lp_five }
 criterion_main!(benches, benches5);
